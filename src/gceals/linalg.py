@@ -18,14 +18,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DegenerateRowError(ValueError):
-    """A row that must have positive mass sums to zero."""
-
-    def __init__(self, row: int, message: str | None = None):
-        self.row = row
-        super().__init__(message or f"row {row} has zero sum and cannot be normalized")
-
-
 class Rng:
     """Seeded random generator; identical seed gives an identical stream.
 
@@ -72,15 +64,6 @@ def as_matrix(a, name: str = "matrix") -> DenseMatrix:
     return out
 
 
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Standard matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def row_softmax(a: DenseMatrix) -> DenseMatrix:
     """Rowwise softmax with per-row max subtraction so large logits cannot overflow."""
     shifted = a - a.max(axis=1, keepdims=True)
@@ -88,15 +71,7 @@ def row_softmax(a: DenseMatrix) -> DenseMatrix:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def row_normalize(a: DenseMatrix) -> DenseMatrix:
-    """Scale each row to sum to 1; a zero-sum row is an error naming the row."""
-    sums = a.sum(axis=1, keepdims=True)
-    bad = np.flatnonzero(sums.ravel() <= 0.0)
-    if bad.size:
-        raise DegenerateRowError(int(bad[0]))
-    return a / sums
-
-
-def randn(rng: Rng, rows: int, cols: int) -> DenseMatrix:
-    """Module-level alias for :meth:`Rng.randn`."""
-    return rng.randn(rows, cols)
+def row_log_softmax(a: DenseMatrix) -> DenseMatrix:
+    """Rowwise log-softmax, finite for any finite logits."""
+    shifted = a - a.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -60,59 +60,16 @@ def contingency_table(pair: LabelPair) -> ContingencyTable:
     )
 
 
-def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost assignment for a square matrix.
-
-    Returns perm with perm[i] = assigned column of row i. Among all optimal
-    assignments, the lexicographically smallest permutation is returned, so
-    tied problems have one canonical answer.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ShapeError(f"cost matrix must be square, got {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
-    n = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
-    eps = 1e-9 * max(1.0, abs(best))
-
-    perm = np.empty(n, dtype=np.int64)
-    free = list(range(n))
-    remaining = best
-    for i in range(n):
-        for j in free:
-            if len(free) == 1:
-                sub_best = 0.0
-            else:
-                others = [c for c in free if c != j]
-                sub = cost[np.ix_(range(i + 1, n), others)]
-                r, c = linear_sum_assignment(sub)
-                sub_best = float(sub[r, c].sum())
-            if cost[i, j] + sub_best <= remaining + eps:
-                perm[i] = j
-                free.remove(j)
-                remaining -= float(cost[i, j])
-                break
-    return perm
-
-
 def clustering_accuracy(pair: LabelPair) -> float:
     """Fraction of samples correct under the best cluster-to-class mapping.
 
-    The co-occurrence matrix is negated and zero-padded to square, so cluster
-    and class counts may differ.
+    One linear assignment on the rectangular contingency table, so cluster
+    and class counts may differ; the optimal matched count is unique even
+    when the optimal mapping is not.
     """
     table = contingency_table(pair).counts
-    side = max(table.shape)
-    cost = np.zeros((side, side))
-    cost[: table.shape[0], : table.shape[1]] = -table.astype(np.float64)
-    perm = hungarian(cost.T)  # rows = clusters, cols = classes
-    matched = 0
-    for cluster, cls in enumerate(perm):
-        if cluster < table.shape[1] and cls < table.shape[0]:
-            matched += int(table[cls, cluster])
-    return matched / pair.n
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return int(table[rows, cols].sum()) / pair.n
 
 
 def _comb2(a) -> np.ndarray:

@@ -87,7 +87,6 @@ class Network:
         return self.params[2 * self.plan.bottleneck :]
 
 
-Autoencoder = Network
 MlpHead = Network
 
 

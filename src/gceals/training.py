@@ -2,17 +2,22 @@
 
 The cluster head holds per-cluster means, diagonal covariances (stored as
 log-variances so positivity is structural), and non-gradient cluster weights.
-A sample's soft assignment is the exponential kernel of its Mahalanobis
-distance; the posterior multiplies in the cluster weights and renormalizes.
-A small projection head turns embeddings into softmax assignments trained to
-match the posterior via cross-entropy, jointly with the reconstruction loss.
+All of its math is in log space: the log kernel of a sample is the negated
+Mahalanobis distance -D to each cluster, the likelihood is ``row_softmax(-D)``
+and the posterior is ``row_softmax(-D + log w)``, so a sample far from every
+centroid still goes to the nearest one. A small projection head turns
+embeddings into softmax assignments trained to match the posterior via
+cross-entropy, jointly with the reconstruction loss.
 
 Also provides the t-distribution baseline mode (``dec`` / ``idec``): trainable
 centroids under a sharpened frequency-normalized target and a KL loss.
 
-All gradients are exact reverse-mode; weights are updated by their closed
-form on the full dataset once per epoch and trigger early stopping when any
-weight falls to half of 1/K.
+Both modes share one fine-tune loop: pretraining, K-means initialization, one
+class-balanced batch and one Adam step per epoch, traces and the final
+assignment. Only the cluster head's loss, gradients, end-of-epoch update and
+assignment differ. All gradients are exact reverse-mode; the Gaussian head's
+weights are updated by their closed form on the full dataset once per epoch
+and trigger early stopping when any weight falls to half of 1/K.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import kmeans
-from .linalg import DenseMatrix, Rng, row_normalize, row_softmax
+from .linalg import DenseMatrix, Rng, as_matrix, row_log_softmax, row_softmax
 from .neuralnet import (
     AdamState,
     DivergenceError,
@@ -41,7 +46,6 @@ from .neuralnet import (
     reconstruction_loss,
 )
 
-KERNEL_FLOOR = 1e-300
 LOG_FLOOR = 1e-12
 
 MODE_GCEALS = "gceals"
@@ -67,17 +71,6 @@ class ClusterHead:
 
     def covariance_determinants(self) -> np.ndarray:
         return np.prod(self.variances, axis=1)
-
-
-@dataclass
-class Assignments:
-    """Every per-sample distribution the head produces for one batch."""
-
-    distances: DenseMatrix
-    kernel: DenseMatrix
-    likelihood: DenseMatrix
-    posterior: DenseMatrix
-    head_softmax: DenseMatrix | None
 
 
 @dataclass
@@ -166,57 +159,28 @@ class GcealsRun:
     report: TrainReport
 
 
-def mahalanobis(z: np.ndarray, mean: np.ndarray, variances: np.ndarray) -> float:
-    """Covariance-scaled distance sqrt(sum((z-mean)^2 / variances))."""
-    variances = np.asarray(variances, dtype=np.float64)
-    if np.any(variances <= 0):
-        raise ValueError("variances must be positive")
-    diff = np.asarray(z, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
-    return float(np.sqrt(np.sum(diff * diff / variances)))
-
-
-def mahalanobis_matrix(z_batch: DenseMatrix, head: ClusterHead) -> DenseMatrix:
-    """Distances of every sample to every cluster, shape (n, k)."""
+def soft_assign(z_batch: DenseMatrix, head: ClusterHead) -> DenseMatrix:
+    """Log kernel -D: negated Mahalanobis distance of every sample to every
+    cluster, shape (n, k)."""
     diff = z_batch[:, None, :] - head.means[None, :, :]
     t = np.sum(diff * diff / head.variances[None, :, :], axis=2)
-    return np.sqrt(np.maximum(t, 0.0))
+    return -np.sqrt(np.maximum(t, 0.0))
 
 
-def soft_assign(z_batch: DenseMatrix, head: ClusterHead) -> DenseMatrix:
-    """Exponential kernel of the Mahalanobis distance, floored away from zero."""
-    return np.maximum(np.exp(-mahalanobis_matrix(z_batch, head)), KERNEL_FLOOR)
-
-
-def likelihood_and_weights(s: DenseMatrix):
-    """Row-normalized kernel and the column-mean cluster weights."""
-    p_prime = row_normalize(s)
+def likelihood_and_weights(log_kernel: DenseMatrix):
+    """Per-sample likelihood row_softmax(-D) and the column-mean cluster weights."""
+    p_prime = row_softmax(log_kernel)
     return p_prime, p_prime.mean(axis=0)
 
 
-def posterior(p_prime: DenseMatrix, weights: np.ndarray) -> DenseMatrix:
-    """Likelihood times cluster weight, renormalized per sample."""
-    return row_normalize(p_prime * weights[None, :])
+def posterior(log_kernel: DenseMatrix, weights: np.ndarray) -> DenseMatrix:
+    """Likelihood times cluster weight, renormalized: row_softmax(-D + log w)."""
+    return row_softmax(log_kernel + np.log(weights)[None, :])
 
 
-def head_softmax(z_batch: DenseMatrix, mlp: MlpHead) -> DenseMatrix:
-    """Softmax cluster assignments from the projection head's logits."""
-    return row_softmax(forward(mlp, z_batch)[-1])
-
-
-def compute_assignments(z_batch: DenseMatrix, head: ClusterHead,
-                        mlp: MlpHead | None = None) -> Assignments:
-    d = mahalanobis_matrix(z_batch, head)
-    s = np.maximum(np.exp(-d), KERNEL_FLOOR)
-    p_prime, _ = likelihood_and_weights(s)
-    p = posterior(p_prime, head.weights)
-    q = head_softmax(z_batch, mlp) if mlp is not None else None
-    return Assignments(distances=d, kernel=s, likelihood=p_prime, posterior=p,
-                       head_softmax=q)
-
-
-def clustering_loss(p: DenseMatrix, q: DenseMatrix) -> float:
-    """Cross-entropy -(1/N) sum p log q with q floored inside the log."""
-    return float(-np.sum(p * np.log(np.maximum(q, LOG_FLOOR))) / p.shape[0])
+def clustering_loss(p: DenseMatrix, log_q: DenseMatrix) -> float:
+    """Cross-entropy -(1/N) sum p log q, given log q."""
+    return float(-np.sum(p * log_q) / p.shape[0])
 
 
 def joint_loss(recon: float, cluster: float, gamma: float) -> float:
@@ -254,60 +218,56 @@ def _gaussian_head_gradients(z: DenseMatrix, head: ClusterHead, mlp: MlpHead):
     """Batch cluster loss and exact gradients through both p and q.
 
     Returns (cluster_loss, dZ, dMeans, dLogVars, mlp_grads, dZ_mlp). The
-    cluster weights are treated as constants; the kernel floor and the log
-    floor contribute zero gradient where active.
+    cluster weights are treated as constants.
     """
     n = z.shape[0]
     diff = z[:, None, :] - head.means[None, :, :]  # (n, k, m)
     inv_var = 1.0 / head.variances  # (k, m)
     scaled = diff * inv_var[None, :, :]
-    t = np.sum(diff * scaled, axis=2)
-    d = np.sqrt(np.maximum(t, 0.0))
-    s_raw = np.exp(-d)
-    floored = s_raw < KERNEL_FLOOR
-    s = np.maximum(s_raw, KERNEL_FLOOR)
-    row_sum = s.sum(axis=1, keepdims=True)
-    p_prime = s / row_sum
-    u = p_prime * head.weights[None, :]
-    u_sum = u.sum(axis=1, keepdims=True)
-    if np.any(u_sum <= 0):
-        raise ValueError("posterior row collapsed to zero mass")
-    p = u / u_sum
+    d = np.sqrt(np.maximum(np.sum(diff * scaled, axis=2), 0.0))
+    p = posterior(-d, head.weights)
 
     acts = forward(mlp, z)
-    q = row_softmax(acts[-1])
-    q_floored = np.maximum(q, LOG_FLOOR)
-    loss = float(-np.sum(p * np.log(q_floored)) / n)
+    log_q = row_log_softmax(acts[-1])
+    loss = clustering_loss(p, log_q)
 
-    # path through p: cross-entropy -> posterior -> likelihood -> kernel -> distance
-    g_p = -np.log(q_floored) / n
-    g_u = (g_p - np.sum(g_p * p, axis=1, keepdims=True)) / u_sum
-    g_p_prime = g_u * head.weights[None, :]
-    g_s = (g_p_prime - np.sum(g_p_prime * p_prime, axis=1, keepdims=True)) / row_sum
-    g_s[floored] = 0.0
-    g_d = -s_raw * g_s
+    # path through p: cross-entropy -> posterior softmax(-d + log w) -> distance
+    g_p = -log_q / n
+    g_d = -p * (g_p - np.sum(g_p * p, axis=1, keepdims=True))
     g_t = g_d / (2.0 * np.maximum(d, 1e-12))
     g_t2 = 2.0 * g_t[:, :, None] * scaled
     d_z = np.sum(g_t2, axis=1)
     d_means = -np.sum(g_t2, axis=0)
     d_logvar = -np.sum(g_t[:, :, None] * diff * scaled, axis=0)
 
-    # path through q: cross-entropy -> softmax -> projection head
-    g_q = np.where(q > LOG_FLOOR, -p / q_floored / n, 0.0)
-    g_logits = q * (g_q - np.sum(g_q * q, axis=1, keepdims=True))
-    mlp_grads, d_z_mlp = backward(mlp, acts, g_logits)
+    # path through q: cross-entropy -> log-softmax -> projection head
+    mlp_grads, d_z_mlp = backward(mlp, acts, (np.exp(log_q) - p) / n)
     return loss, d_z, d_means, d_logvar, mlp_grads, d_z_mlp
+
+
+def _autoencoder_gradients(ae: Network, acts: list, x_batch: DenseMatrix,
+                           d_z_cluster: DenseMatrix, gamma: float):
+    """Reconstruction loss and the gradients of recon + gamma * cluster for
+    every autoencoder tensor, given the cluster loss's gradient at the
+    bottleneck. The backward pass is split there: the decoder sees only the
+    reconstruction loss, the encoder both."""
+    bn = ae.plan.bottleneck
+    x_hat = acts[-1]
+    dec_grads, d_z_recon = backward_range(ae, acts, reconstruction_grad(x_batch, x_hat),
+                                          bn, ae.plan.n_layers)
+    enc_grads, _ = backward_range(ae, acts, d_z_recon + gamma * d_z_cluster, 0, bn,
+                                  need_input_grad=False)
+    return reconstruction_loss(x_batch, x_hat), enc_grads + dec_grads
 
 
 def joint_loss_eval(ae: Network, mlp: MlpHead, head: ClusterHead,
                     x_batch: DenseMatrix, gamma: float) -> float:
     """Forward-only joint loss; the finite-difference side of the gradient check."""
     acts = forward(ae, x_batch)
-    recon = reconstruction_loss(x_batch, acts[-1])
     z = acts[ae.plan.bottleneck]
-    assign = compute_assignments(z, head, mlp)
-    cluster = clustering_loss(assign.posterior, assign.head_softmax)
-    return joint_loss(recon, cluster, gamma)
+    p = posterior(soft_assign(z, head), head.weights)
+    cluster = clustering_loss(p, row_log_softmax(forward(mlp, z)[-1]))
+    return joint_loss(reconstruction_loss(x_batch, acts[-1]), cluster, gamma)
 
 
 def joint_step_gradients(ae: Network, mlp: MlpHead, head: ClusterHead,
@@ -316,20 +276,12 @@ def joint_step_gradients(ae: Network, mlp: MlpHead, head: ClusterHead,
 
     Gradient layout matches [ae.params..., means, log_variances, mlp.params...].
     """
-    bn = ae.plan.bottleneck
-    n_layers = ae.plan.n_layers
     acts = forward(ae, x_batch)
-    x_hat = acts[-1]
-    z = acts[bn]
-    recon = reconstruction_loss(x_batch, x_hat)
+    z = acts[ae.plan.bottleneck]
     cluster, d_z_head, d_means, d_logvar, mlp_grads, d_z_mlp = \
         _gaussian_head_gradients(z, head, mlp)
-    dec_grads, d_z_recon = backward_range(ae, acts, reconstruction_grad(x_batch, x_hat),
-                                          bn, n_layers)
-    d_z_total = d_z_recon + gamma * (d_z_head + d_z_mlp)
-    enc_grads, _ = backward_range(ae, acts, d_z_total, 0, bn, need_input_grad=False)
-    grads = enc_grads + dec_grads + [gamma * d_means, gamma * d_logvar] \
-        + [gamma * g for g in mlp_grads]
+    recon, ae_grads = _autoencoder_gradients(ae, acts, x_batch, d_z_head + d_z_mlp, gamma)
+    grads = ae_grads + [gamma * d_means, gamma * d_logvar] + [gamma * g for g in mlp_grads]
     return recon, cluster, grads
 
 
@@ -340,69 +292,6 @@ def _init_from_kmeans(ae: Network, x: DenseMatrix, k: int, rng: Rng):
     if np.any(counts == 0):
         raise ValueError("empty pseudo-cluster at initialization")
     return km.labels, km.centroids.copy()
-
-
-def train_gceals(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
-                 pretrained: Network | None = None) -> GcealsRun:
-    """Full joint training run.
-
-    Pretrains the autoencoder (or continues from `pretrained`), initializes the
-    cluster head from K-means on the embedding with unit variances and uniform
-    weights, then fine-tunes: one class-balanced batch per epoch, one Adam step
-    over encoder, decoder, means, log-variances, and projection head jointly,
-    followed by a full-dataset weight update and the weight-collapse check.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    m = config.embedding_dim
-    pre_rng, km_rng, mlp_rng, batch_rng = rng.split(4)
-    report = TrainReport()
-    if pretrained is None:
-        ae, report.pretrain_losses = pretrain_autoencoder(
-            x, m, config.pretrain_epochs, config.batch_cap, pre_rng,
-            learning_rate=config.learning_rate)
-    else:
-        ae = pretrained
-        if ae.plan.sizes[ae.plan.bottleneck] != m:
-            raise ValueError("pretrained bottleneck width != config.embedding_dim")
-    pseudo, centroids = _init_from_kmeans(ae, x, k, km_rng)
-    head = ClusterHead(k=k, means=centroids, log_variances=np.zeros((k, m)),
-                       weights=np.full(k, 1.0 / k))
-    mlp = init_network(mlp_plan(m, k), mlp_rng)
-
-    params = ae.params + [head.means, head.log_variances] + mlp.params
-    adam = AdamState(params, learning_rate=config.learning_rate)
-    for epoch in range(1, config.finetune_epochs + 1):
-        idx = balanced_batch(pseudo, config.batch_cap, batch_rng)
-        xb = x[idx]
-        recon, cluster, grads = joint_step_gradients(ae, mlp, head, xb, config.gamma)
-        total = joint_loss(recon, cluster, config.gamma)
-        if not np.isfinite(total):
-            raise DivergenceError(epoch, total)
-        mu_before = head.means.copy()
-        adam.step(params, grads)
-
-        z_full = encode(ae, x)
-        p_prime, weights = likelihood_and_weights(soft_assign(z_full, head))
-        head.weights = weights
-
-        report.recon_losses.append(recon)
-        report.cluster_losses.append(cluster)
-        report.weight_trace.append(weights.copy())
-        report.centroid_shifts.append(
-            np.sqrt(((head.means - mu_before) ** 2).sum(axis=1)))
-        report.cov_determinants.append(head.covariance_determinants())
-        report.stop_epoch = epoch
-        if early_stop_check(weights, k, config.early_stop_factor):
-            report.stop_reason = STOP_WEIGHT_COLLAPSE
-            break
-
-    z_full = encode(ae, x)
-    p_prime, _ = likelihood_and_weights(soft_assign(z_full, head))
-    p = posterior(p_prime, head.weights)
-    report.posterior = p
-    report.hard_labels = np.argmax(p, axis=1)
-    return GcealsRun(autoencoder=ae, head=head, mlp=mlp, report=report)
 
 
 def tdist_q(z_batch: DenseMatrix, centroids: DenseMatrix) -> DenseMatrix:
@@ -440,6 +329,133 @@ def _tdist_gradients(z: DenseMatrix, centroids: DenseMatrix, p: DenseMatrix):
     return loss, q, d_z, d_centroids
 
 
+class _GaussianObjective:
+    """G-CEALS: the Gaussian head and the projection head, trained jointly with
+    the whole autoencoder; the weights are re-estimated on the full data after
+    every step."""
+
+    def __init__(self, ae: Network, head: ClusterHead, config: GcealsConfig, rng: Rng):
+        self.ae = ae
+        self.head = head
+        self.early_stop_factor = config.early_stop_factor
+        self.mlp = init_network(mlp_plan(config.embedding_dim, head.k), rng)
+        self.params = ae.params + [head.means, head.log_variances] + self.mlp.params
+
+    def loss_and_grads(self, x_batch: DenseMatrix, gamma: float):
+        return joint_step_gradients(self.ae, self.mlp, self.head, x_batch, gamma)
+
+    def after_epoch(self, x: DenseMatrix) -> bool:
+        """Closed-form weight update; True when a weight has collapsed."""
+        z = encode(self.ae, x)
+        _, self.head.weights = likelihood_and_weights(soft_assign(z, self.head))
+        return early_stop_check(self.head.weights, self.head.k, self.early_stop_factor)
+
+    def assign(self, z: DenseMatrix) -> DenseMatrix:
+        return posterior(soft_assign(z, self.head), self.head.weights)
+
+
+class _StudentTObjective:
+    """DEC / IDEC: Student-t assignments under the sharpened target and a KL
+    loss. ``dec`` trains the encoder and the centroids on KL alone; ``idec``
+    adds the reconstruction loss and trains the decoder too. The weights stay
+    uniform, so training never stops early."""
+
+    mlp = None
+
+    def __init__(self, ae: Network, head: ClusterHead, idec: bool):
+        self.ae = ae
+        self.head = head
+        self.idec = idec
+        self.params = (ae.params if idec else ae.encoder_params) + [head.means]
+
+    def loss_and_grads(self, x_batch: DenseMatrix, gamma: float):
+        ae = self.ae
+        bn = ae.plan.bottleneck
+        acts = forward(ae, x_batch)
+        z = acts[bn]
+        centroids = self.head.means
+        kl, _, d_z_kl, d_centroids = _tdist_gradients(
+            z, centroids, dec_target(tdist_q(z, centroids)))
+        if self.idec:
+            recon, ae_grads = _autoencoder_gradients(ae, acts, x_batch, d_z_kl, gamma)
+            return recon, kl, ae_grads + [gamma * d_centroids]
+        enc_grads, _ = backward_range(ae, acts, d_z_kl, 0, bn, need_input_grad=False)
+        return 0.0, kl, enc_grads + [d_centroids]
+
+    def after_epoch(self, x: DenseMatrix) -> bool:
+        return False
+
+    def assign(self, z: DenseMatrix) -> DenseMatrix:
+        return tdist_q(z, self.head.means)
+
+
+def _finetune(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
+              pretrained: Network | None) -> GcealsRun:
+    """The training run every mode shares; `config.mode` picks the cluster head."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    x = as_matrix(x, "x")
+    m = config.embedding_dim
+    pre_rng, km_rng, mlp_rng, batch_rng = rng.split(4)
+    report = TrainReport()
+    if pretrained is None:
+        ae, report.pretrain_losses = pretrain_autoencoder(
+            x, m, config.pretrain_epochs, config.batch_cap, pre_rng,
+            learning_rate=config.learning_rate)
+    else:
+        ae = pretrained
+        if ae.plan.sizes[ae.plan.bottleneck] != m:
+            raise ValueError("pretrained bottleneck width != config.embedding_dim")
+    pseudo, centroids = _init_from_kmeans(ae, x, k, km_rng)
+    head = ClusterHead(k=k, means=centroids, log_variances=np.zeros((k, m)),
+                       weights=np.full(k, 1.0 / k))
+    if config.mode == MODE_GCEALS:
+        objective = _GaussianObjective(ae, head, config, mlp_rng)
+    else:
+        objective = _StudentTObjective(ae, head, idec=config.mode == MODE_IDEC)
+
+    adam = AdamState(objective.params, learning_rate=config.learning_rate)
+    for epoch in range(1, config.finetune_epochs + 1):
+        xb = x[balanced_batch(pseudo, config.batch_cap, batch_rng)]
+        recon, cluster, grads = objective.loss_and_grads(xb, config.gamma)
+        total = joint_loss(recon, cluster, config.gamma)
+        if not np.isfinite(total):
+            raise DivergenceError(epoch, total)
+        mu_before = head.means.copy()
+        adam.step(objective.params, grads)
+        collapsed = objective.after_epoch(x)
+
+        report.recon_losses.append(recon)
+        report.cluster_losses.append(cluster)
+        report.weight_trace.append(head.weights.copy())
+        report.centroid_shifts.append(
+            np.sqrt(((head.means - mu_before) ** 2).sum(axis=1)))
+        report.cov_determinants.append(head.covariance_determinants())
+        report.stop_epoch = epoch
+        if collapsed:
+            report.stop_reason = STOP_WEIGHT_COLLAPSE
+            break
+
+    report.posterior = objective.assign(encode(ae, x))
+    report.hard_labels = np.argmax(report.posterior, axis=1)
+    return GcealsRun(autoencoder=ae, head=head, mlp=objective.mlp, report=report)
+
+
+def train_gceals(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
+                 pretrained: Network | None = None) -> GcealsRun:
+    """Full joint training run.
+
+    Pretrains the autoencoder (or continues from `pretrained`), initializes the
+    cluster head from K-means on the embedding with unit variances and uniform
+    weights, then fine-tunes: one class-balanced batch per epoch, one Adam step
+    over encoder, decoder, means, log-variances, and projection head jointly,
+    followed by a full-dataset weight update and the weight-collapse check.
+    """
+    if config.mode != MODE_GCEALS:
+        raise ValueError(f"train_gceals needs mode gceals, got {config.mode!r}")
+    return _finetune(x, k, config, rng, pretrained)
+
+
 def train_dec_variant(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
                       pretrained: Network | None = None) -> GcealsRun:
     """The t-distribution baseline: ``dec`` trains encoder and centroids on the
@@ -448,72 +464,9 @@ def train_dec_variant(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
     batching as the Gaussian-head run; no covariances, weights, or projection
     head, and no weight-collapse stop. Hard labels are the argmax of q.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
     if config.mode not in (MODE_DEC, MODE_IDEC):
         raise ValueError(f"train_dec_variant needs mode dec or idec, got {config.mode!r}")
-    m = config.embedding_dim
-    pre_rng, km_rng, _mlp_rng, batch_rng = rng.split(4)
-    report = TrainReport()
-    if pretrained is None:
-        ae, report.pretrain_losses = pretrain_autoencoder(
-            x, m, config.pretrain_epochs, config.batch_cap, pre_rng,
-            learning_rate=config.learning_rate)
-    else:
-        ae = pretrained
-    pseudo, centroids = _init_from_kmeans(ae, x, k, km_rng)
-    bn = ae.plan.bottleneck
-    n_layers = ae.plan.n_layers
-    uniform = np.full(k, 1.0 / k)
-
-    if config.mode == MODE_IDEC:
-        params = ae.params + [centroids]
-    else:
-        params = ae.encoder_params + [centroids]
-    adam = AdamState(params, learning_rate=config.learning_rate)
-    for epoch in range(1, config.finetune_epochs + 1):
-        idx = balanced_batch(pseudo, config.batch_cap, batch_rng)
-        xb = x[idx]
-        acts = forward(ae, xb)
-        z = acts[bn]
-        q = tdist_q(z, centroids)
-        p = dec_target(q)
-        kl, q, d_z_kl, d_centroids = _tdist_gradients(z, centroids, p)
-        mu_before = centroids.copy()
-        if config.mode == MODE_IDEC:
-            recon = reconstruction_loss(xb, acts[-1])
-            dec_grads, d_z_recon = backward_range(
-                ae, acts, reconstruction_grad(xb, acts[-1]), bn, n_layers)
-            d_z_total = d_z_recon + config.gamma * d_z_kl
-            enc_grads, _ = backward_range(ae, acts, d_z_total, 0, bn,
-                                          need_input_grad=False)
-            grads = enc_grads + dec_grads + [config.gamma * d_centroids]
-            total = joint_loss(recon, kl, config.gamma)
-        else:
-            recon = 0.0
-            enc_grads, _ = backward_range(ae, acts, d_z_kl, 0, bn,
-                                          need_input_grad=False)
-            grads = enc_grads + [d_centroids]
-            total = kl
-        if not np.isfinite(total):
-            raise DivergenceError(epoch, total)
-        adam.step(params, grads)
-
-        report.recon_losses.append(recon)
-        report.cluster_losses.append(kl)
-        report.weight_trace.append(uniform.copy())
-        report.centroid_shifts.append(
-            np.sqrt(((centroids - mu_before) ** 2).sum(axis=1)))
-        report.cov_determinants.append(np.ones(k))
-        report.stop_epoch = epoch
-
-    z_full = encode(ae, x)
-    q_full = tdist_q(z_full, centroids)
-    report.posterior = q_full
-    report.hard_labels = np.argmax(q_full, axis=1)
-    head = ClusterHead(k=k, means=centroids, log_variances=np.zeros((k, m)),
-                       weights=uniform)
-    return GcealsRun(autoencoder=ae, head=head, mlp=None, report=report)
+    return _finetune(x, k, config, rng, pretrained)
 
 
 def write_embedding_csv(z: DenseMatrix, labels: np.ndarray, path) -> None:

@@ -11,7 +11,6 @@ from gceals.metrics import (
     adjusted_rand_index,
     clustering_accuracy,
     contingency_table,
-    hungarian,
     metrics_json,
     normalized_mutual_information,
 )
@@ -95,35 +94,6 @@ def test_contingency_marginals():
     assert table.counts.sum() == 5
     assert table.row_marginals.tolist() == [2, 3]
     assert table.col_marginals.tolist() == [1, 3, 1]
-
-
-def test_hungarian_identity_favoring_cost():
-    cost = np.ones((4, 4)) - np.eye(4)
-    assert hungarian(cost).tolist() == [0, 1, 2, 3]
-
-
-def test_hungarian_1x1():
-    assert hungarian(np.array([[7.0]])).tolist() == [0]
-
-
-def test_hungarian_rejects_non_square():
-    with pytest.raises(ValueError):
-        hungarian(np.ones((2, 3)))
-
-
-def test_hungarian_matches_brute_force_and_lex_tiebreak():
-    gen = np.random.default_rng(42)
-    for _ in range(60):
-        n = int(gen.integers(2, 6))
-        cost = gen.integers(0, 4, size=(n, n)).astype(np.float64)
-        got = hungarian(cost)
-        best = min(sum(cost[i, p[i]] for i in range(n))
-                   for p in itertools.permutations(range(n)))
-        got_cost = sum(cost[i, got[i]] for i in range(n))
-        assert got_cost == best
-        optimal = [p for p in itertools.permutations(range(n))
-                   if sum(cost[i, p[i]] for i in range(n)) == best]
-        assert tuple(got.tolist()) == min(optimal)
 
 
 def test_accuracy_identity_and_relabeling():

@@ -4,26 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gceals.linalg import DegenerateRowError, Rng
-from gceals.neuralnet import LINEAR, RELU, LayerPlan, Network, init_network, mlp_plan
+from gceals.linalg import Rng, ShapeError
+from gceals.neuralnet import LINEAR, RELU, LayerPlan, init_network, mlp_plan
 from gceals.training import (
-    Assignments,
     ClusterHead,
     GcealsConfig,
-    TrainReport,
     balanced_batch,
     clustering_loss,
-    compute_assignments,
     dec_target,
     early_stop_check,
-    head_softmax,
     joint_loss,
     joint_loss_eval,
     joint_step_gradients,
     kl_divergence,
     likelihood_and_weights,
-    mahalanobis,
     posterior,
     soft_assign,
     tdist_q,
@@ -48,84 +46,101 @@ def unit_head(means, log_variances=None, weights=None):
 
 
 def test_mahalanobis_examples():
-    assert mahalanobis([3.0, 4.0], [0.0, 0.0], [1.0, 1.0]) == 5.0
-    assert mahalanobis([1.0, 2.0], [1.0, 2.0], [3.0, 0.5]) == 0.0
-    assert mahalanobis([2.0, 0.0], [0.0, 0.0], [4.0, 1.0]) == 1.0
+    def distance(z, mean, variances):
+        head = unit_head([mean], log_variances=[np.log(variances)])
+        return -soft_assign(np.array([z]), head)[0, 0]
 
-
-def test_mahalanobis_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        mahalanobis([1.0], [0.0], [0.0])
+    assert distance([3.0, 4.0], [0.0, 0.0], [1.0, 1.0]) == 5.0
+    assert distance([1.0, 2.0], [1.0, 2.0], [3.0, 0.5]) == 0.0
+    assert np.isclose(distance([2.0, 0.0], [0.0, 0.0], [4.0, 1.0]), 1.0)
 
 
 def test_soft_assign_examples():
     head = unit_head([[0.0, 0.0], [3.0, 4.0]])
     s = soft_assign(np.array([[0.0, 0.0]]), head)
-    assert np.isclose(s[0, 0], 1.0)
-    assert np.isclose(s[0, 1], math.exp(-5.0))
+    assert s[0, 0] == 0.0
+    assert np.isclose(s[0, 1], -5.0)
     # distance ln 2 from the first mean
     s2 = soft_assign(np.array([[math.log(2.0), 0.0]]), head)
-    assert np.isclose(s2[0, 0], 0.5)
+    assert np.isclose(np.exp(s2[0, 0]), 0.5)
 
 
-def test_soft_assign_floor_keeps_rows_normalizable():
+def test_posterior_far_sample_goes_to_nearest_cluster():
+    # exp(-D) underflows to 0 for both clusters; in log space the nearer one wins
     head = unit_head([[0.0], [1000.0]])
-    s = soft_assign(np.array([[2000.0]]), head)
-    assert np.all(s >= 1e-300)
-    p_prime, _ = likelihood_and_weights(s)
-    assert np.isclose(p_prime[0].sum(), 1.0)
+    p = posterior(soft_assign(np.array([[2000.0]]), head), head.weights)
+    assert np.all(np.isfinite(p))
+    assert p[0, 1] > 0.99
 
 
 def test_likelihood_and_weights_examples():
-    p1, w1 = likelihood_and_weights(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    p1, w1 = likelihood_and_weights(np.log([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(p1, 0.5)
     assert np.allclose(w1, [0.5, 0.5])
 
-    p2, w2 = likelihood_and_weights(np.array([[0.8, 0.2]]))
+    p2, w2 = likelihood_and_weights(np.log([[0.8, 0.2]]))
     assert np.allclose(p2, [[0.8, 0.2]])
     assert np.allclose(w2, [0.8, 0.2])
 
-    p3, w3 = likelihood_and_weights(np.array([[1.0, 3.0], [3.0, 1.0]]))
+    p3, w3 = likelihood_and_weights(np.log([[1.0, 3.0], [3.0, 1.0]]))
     assert np.allclose(p3, [[0.25, 0.75], [0.75, 0.25]])
     assert np.allclose(w3, [0.5, 0.5])
 
 
 def test_posterior_examples():
-    p_prime = np.array([[0.5, 0.5]])
-    assert np.allclose(posterior(p_prime, np.array([0.9, 0.1])), [[0.9, 0.1]])
-    assert np.allclose(posterior(np.array([[0.6, 0.4]]), np.array([0.5, 0.5])),
+    assert np.allclose(posterior(np.log([[0.5, 0.5]]), np.array([0.9, 0.1])),
+                       [[0.9, 0.1]])
+    assert np.allclose(posterior(np.log([[0.6, 0.4]]), np.array([0.5, 0.5])),
                        [[0.6, 0.4]])
-    with pytest.raises(DegenerateRowError):
-        posterior(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
 
 
-def test_head_softmax_uniform_for_zero_mlp():
-    mlp = init_network(mlp_plan(3, 4, hidden=5), Rng(0))
-    for p in mlp.params:
-        p[...] = 0.0
-    q = head_softmax(Rng(1).randn(6, 3), mlp)
-    assert np.allclose(q, 0.25)
+def log_kernels_and_weights(max_k=5):
+    """(n, k) log kernels in [-1e4, 0] and strictly positive weights summing to 1."""
+    return st.tuples(st.integers(1, 6), st.integers(2, max_k)).flatmap(
+        lambda nk: st.tuples(
+            arrays(np.float64, nk, elements=st.floats(-1e4, 0.0)),
+            arrays(np.float64, nk[1], elements=st.floats(1e-3, 1.0)).map(
+                lambda w: w / w.sum())))
 
 
-def test_head_softmax_known_logit_ratio():
-    # identity network passes logits straight through
-    plan = LayerPlan(sizes=[2, 2], activations=[LINEAR])
-    net = Network(plan, [np.eye(2), np.zeros(2)])
-    q = head_softmax(np.array([[math.log(2.0), 0.0]]), net)
-    assert np.allclose(q, [[2.0 / 3.0, 1.0 / 3.0]])
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(log_kernels_and_weights())
+def test_posterior_rows_are_finite_distributions(case):
+    log_kernel, weights = case
+    p = posterior(log_kernel, weights)
+    assert np.all(np.isfinite(p))
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(log_kernels_and_weights(), st.randoms(use_true_random=False))
+def test_posterior_permutes_with_clusters(case, random):
+    log_kernel, weights = case
+    perm = np.array(random.sample(range(weights.size), weights.size))
+    got = posterior(log_kernel[:, perm], weights[perm])
+    assert np.allclose(got, posterior(log_kernel, weights)[:, perm],
+                       rtol=0.0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(log_kernels_and_weights(), st.floats(-1e3, 1e3))
+def test_posterior_ignores_row_constants(case, shift):
+    log_kernel, weights = case
+    offsets = shift * np.arange(1, log_kernel.shape[0] + 1)[:, None]
+    assert np.allclose(posterior(log_kernel + offsets, weights),
+                       posterior(log_kernel, weights), rtol=0.0, atol=1e-9)
 
 
 def test_clustering_loss_examples():
     assert np.isclose(clustering_loss(np.array([[0.5, 0.5]]),
-                                      np.array([[0.5, 0.5]])), math.log(2.0))
-    assert clustering_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])) == 0.0
+                                      np.log([[0.5, 0.5]])), math.log(2.0))
+    assert clustering_loss(np.array([[1.0, 0.0]]), np.array([[0.0, -50.0]])) == 0.0
     assert np.isclose(clustering_loss(np.array([[0.6, 0.4]]),
-                                      np.array([[0.5, 0.5]])), math.log(2.0))
-
-
-def test_clustering_loss_floors_q():
-    loss = clustering_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-    assert np.isclose(loss, -math.log(1e-12))
+                                      np.log([[0.5, 0.5]])), math.log(2.0))
 
 
 def test_joint_loss():
@@ -186,18 +201,6 @@ def test_early_stop_check_examples():
     assert early_stop_check(np.array([0.75, 0.25]), 2, 0.5)
 
 
-def test_compute_assignments_rows_are_distributions():
-    head = unit_head(Rng(3).randn(3, 4), log_variances=Rng(4).randn(3, 4) * 0.2,
-                     weights=np.array([0.5, 0.3, 0.2]))
-    mlp = init_network(mlp_plan(4, 3), Rng(5))
-    z = Rng(6).randn(20, 4)
-    assign = compute_assignments(z, head, mlp)
-    assert np.all(assign.distances >= 0)
-    assert np.all((assign.kernel > 0) & (assign.kernel <= 1))
-    for matrix in (assign.likelihood, assign.posterior, assign.head_softmax):
-        assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_joint_gradients_match_finite_differences():
     rng = Rng(3)
     r_ae, r_mlp, r_x, r_head = rng.split(4)
@@ -206,27 +209,32 @@ def test_joint_gradients_match_finite_differences():
     ae = init_network(plan, r_ae)
     mlp = init_network(mlp_plan(3, 2, hidden=5), r_mlp)
     x = r_x.randn(12, 6)
-    head = unit_head(r_head.randn(2, 3) * 0.8,
-                     log_variances=r_head.randn(2, 3) * 0.3,
+    means = r_head.randn(2, 3) * 0.8
+    near = unit_head(means, log_variances=r_head.randn(2, 3) * 0.3,
                      weights=np.array([0.55, 0.45]))
+    # every sample ~1700 from both means: exp(-D) underflows, log space does not
+    far = unit_head(means + 1000.0, weights=np.array([0.55, 0.45]))
     gamma = 0.7
-    _, _, grads = joint_step_gradients(ae, mlp, head, x, gamma)
-    tensors = ae.params + [head.means, head.log_variances] + mlp.params
-    h = 1e-5
-    worst = 0.0
-    for tensor, grad in zip(tensors, grads):
-        flat_t, flat_g = tensor.ravel(), grad.ravel()
-        for idx in range(flat_t.size):
-            orig = flat_t[idx]
-            flat_t[idx] = orig + h
-            up = joint_loss_eval(ae, mlp, head, x, gamma)
-            flat_t[idx] = orig - h
-            down = joint_loss_eval(ae, mlp, head, x, gamma)
-            flat_t[idx] = orig
-            fd = (up - down) / (2 * h)
-            a = flat_g[idx]
-            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
-    assert worst < 1e-4
+    for head in (near, far):
+        _, _, grads = joint_step_gradients(ae, mlp, head, x, gamma)
+        tensors = ae.params + [head.means, head.log_variances] + mlp.params
+        h = 1e-5
+        worst = 0.0
+        for tensor, grad in zip(tensors, grads):
+            flat_t, flat_g = tensor.ravel(), grad.ravel()
+            for idx in range(flat_t.size):
+                orig = flat_t[idx]
+                flat_t[idx] = orig + h
+                up = joint_loss_eval(ae, mlp, head, x, gamma)
+                flat_t[idx] = orig - h
+                down = joint_loss_eval(ae, mlp, head, x, gamma)
+                flat_t[idx] = orig
+                fd = (up - down) / (2 * h)
+                a = flat_g[idx]
+                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
+        assert worst < 1e-4
+        d_means = grads[len(ae.params)]
+        assert np.any(d_means != 0.0)
 
 
 def blob_config(**overrides):
@@ -288,6 +296,38 @@ def test_train_gceals_validates_k():
     x, _ = make_blobs([[1.0] * 3, [2.0] * 3], 10, seed=5)
     with pytest.raises(ValueError):
         train_gceals(x, 1, blob_config(), Rng(0))
+
+
+def test_training_rejects_bad_input_before_pretraining():
+    x, _ = make_blobs([[1.0] * 3, [2.0] * 3], 10, seed=5)
+    nan_x, inf_x = x.copy(), x.copy()
+    nan_x[3, 1] = np.nan
+    inf_x[0, 0] = np.inf
+    for train, mode in ((train_gceals, "gceals"), (train_dec_variant, "idec")):
+        cfg = blob_config(mode=mode)
+        for bad in (nan_x, inf_x):
+            with pytest.raises(ValueError, match="non-finite"):
+                train(bad, 2, cfg, Rng(0))
+        with pytest.raises(ShapeError):
+            train(x[:, 0], 2, cfg, Rng(0))
+
+
+def test_train_gceals_rejects_dec_modes():
+    x, _ = make_blobs([[1.0] * 3, [3.0] * 3], 10, seed=8)
+    for mode in ("dec", "idec"):
+        with pytest.raises(ValueError, match="mode"):
+            train_gceals(x, 2, blob_config(mode=mode), Rng(0))
+
+
+def test_training_checks_pretrained_width():
+    x, _ = make_blobs([[1.0] * 4, [3.0] * 4], 10, seed=8)
+    plan = LayerPlan(sizes=[4, 8, 2, 8, 4],
+                     activations=[RELU, LINEAR, RELU, LINEAR], bottleneck=2)
+    for train, mode in ((train_gceals, "gceals"), (train_dec_variant, "dec")):
+        net = init_network(plan, Rng(1))
+        with pytest.raises(ValueError, match="bottleneck width"):
+            train(x, 2, blob_config(embedding_dim=3, mode=mode), Rng(0),
+                  pretrained=net)
 
 
 def test_config_validation():
