@@ -8,14 +8,18 @@ per method.
 Per-job seeds are derived by stable hashing so results are identical for any
 worker count and any execution order. Input-space methods ignore the embedding
 dimension: they run once per seed and their scores are replicated across dim
-rows of the report.
+rows of the report. The embedding methods of one (dataset, dim, seed) share a
+single pretrained autoencoder, seeded independently of the method, so they
+all start from the same embedding.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +49,8 @@ from .training import (
 
 METHODS = ("gceals", "dec", "idec", "kmeans_x", "gmm_x", "kmeans_z", "gmm_z")
 X_SPACE_METHODS = ("kmeans_x", "gmm_x")
+FINETUNE_METHODS = ("gceals", "dec", "idec")
+BLAS_SPIN_VAR = "OPENBLAS_THREAD_TIMEOUT"
 
 
 @dataclass
@@ -67,22 +73,31 @@ def job_seed(dataset: str, method: str, dim, seed: int) -> int:
 def run_single(task: BenchmarkTask, method: str, dim, seed: int,
                gamma: float = 0.1, pretrain_epochs: int = 1000,
                finetune_epochs: int = 1000, batch_cap: int = 256,
-               out_dir=None) -> dict:
+               out_dir=None, pretrained=None) -> dict:
     """One clustering run, scored against the task labels.
 
     `dim` must be None for input-space methods. When `out_dir` is given the
     run's artifacts (metrics.json, and for embedding methods trace.csv,
     embedding.csv, checkpoint) are written there.
+
+    `pretrained` is a (network, pretrain losses) pair as returned by
+    `pretrain_autoencoder`, with bottleneck width `dim`; an embedding method
+    then skips its own pretraining. `kmeans_z`/`gmm_z` only encode with the
+    network, while `gceals`/`dec`/`idec` fine-tune it in place, so each of
+    those needs a network no later run reads.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if (dim is None) != (method in X_SPACE_METHODS):
         raise ValueError(f"dim={dim!r} invalid for method {method!r}")
+    if pretrained is not None and \
+            pretrained[0].plan.sizes[pretrained[0].plan.bottleneck] != dim:
+        raise ValueError(f"pretrained bottleneck width != dim {dim!r}")
     rng = Rng(job_seed(task.name, method, dim, seed))
     x, k = task.x, task.k
     report = None
     embedding = None
-    net = None
+    net = None if pretrained is None else pretrained[0]
     started = time.perf_counter()
     if method == "kmeans_x":
         labels = kmeans(x, k, rng).labels
@@ -90,7 +105,8 @@ def run_single(task: BenchmarkTask, method: str, dim, seed: int,
         labels = gmm_fit(x, k, rng).labels
     elif method in ("kmeans_z", "gmm_z"):
         pre_rng, cluster_rng = rng.split(2)
-        net, _ = pretrain_autoencoder(x, dim, pretrain_epochs, batch_cap, pre_rng)
+        if net is None:
+            net, _ = pretrain_autoencoder(x, dim, pretrain_epochs, batch_cap, pre_rng)
         embedding = encode(net, x)
         if method == "kmeans_z":
             labels = kmeans(embedding, k, cluster_rng).labels
@@ -102,13 +118,15 @@ def run_single(task: BenchmarkTask, method: str, dim, seed: int,
             finetune_epochs=finetune_epochs, batch_cap=batch_cap,
             mode=MODE_GCEALS if method == "gceals" else method)
         if method == "gceals":
-            run = train_gceals(x, k, config, rng)
+            run = train_gceals(x, k, config, rng, pretrained=net)
         else:
-            run = train_dec_variant(x, k, config, rng)
+            run = train_dec_variant(x, k, config, rng, pretrained=net)
         report = run.report
+        if pretrained is not None:
+            report.pretrain_losses = pretrained[1]
         labels = report.hard_labels
         net = run.autoencoder
-        embedding = encode(net, x)
+        embedding = run.embedding
     runtime = time.perf_counter() - started
 
     pair = LabelPair(task.y, labels)
@@ -145,19 +163,64 @@ def run_dir(out_root, dataset: str, method: str, dim, seed: int) -> str:
     return os.path.join(str(out_root), dataset, method, dim_name, f"seed{seed}")
 
 
-def _run_job(payload) -> tuple:
-    task = BenchmarkTask(name=payload["name"], x=payload["x"], y=payload["y"],
-                         k=payload["k"])
-    key = (payload["name"], payload["method"], payload["dim"], payload["seed"])
+def _failed(exc: Exception) -> dict:
+    return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_unit(unit: dict) -> list:
+    """One unit of work: an input-space job, or every embedding method of one
+    (dataset, dim, seed) on one shared pretraining. Returns [(key, cell)].
+
+    A fine-tuning method changes the network in place, so it gets a copy
+    unless it runs last; at most one copy is alive at a time. A failed
+    pretraining fails every cell of its unit.
+    """
+    task, dim, seed, methods = unit["task"], unit["dim"], unit["seed"], unit["methods"]
+    settings, out_root = unit["settings"], unit["out_root"]
+    keys = [(task.name, method, dim, seed) for method in methods]
+    pretrained = None
+    if dim is not None:
+        try:
+            pretrained = pretrain_autoencoder(
+                task.x, dim, settings["pretrain_epochs"], settings["batch_cap"],
+                Rng(job_seed(task.name, "pretrain", dim, seed)))
+        except Exception as exc:
+            return [(key, _failed(exc)) for key in keys]
+    outcomes = []
+    for i, (key, method) in enumerate(zip(keys, methods)):
+        shared = pretrained
+        if method in FINETUNE_METHODS and i < len(methods) - 1:
+            shared = (copy.deepcopy(pretrained[0]), pretrained[1])
+        out_dir = None if out_root is None else run_dir(out_root, *key)
+        try:
+            cell = run_single(task, method, dim, seed, out_dir=out_dir,
+                              pretrained=shared, **settings)
+        except Exception as exc:
+            cell = _failed(exc)
+        outcomes.append((key, cell))
+    return outcomes
+
+
+def _map_units(units: list, jobs: int) -> list:
+    """Run the units in order, or on a pool of spawned worker processes."""
+    workers = min(jobs, len(units))
+    if workers <= 1:
+        return [_run_unit(unit) for unit in units]
+    # Workers keep this process's BLAS thread count, because OpenBLAS rounds
+    # matrix products differently at other counts and the outputs must not
+    # depend on --jobs. What they give up is idle BLAS threads spinning on
+    # cores the other workers need: 2**4 cycles is OpenBLAS's shortest spin.
+    # A worker reads the variable when numpy loads, so it has to be in the
+    # environment the worker inherits at spawn.
+    unset = BLAS_SPIN_VAR not in os.environ
+    os.environ.setdefault(BLAS_SPIN_VAR, "4")
     try:
-        cell = run_single(
-            task, payload["method"], payload["dim"], payload["seed"],
-            gamma=payload["gamma"], pretrain_epochs=payload["pretrain_epochs"],
-            finetune_epochs=payload["finetune_epochs"],
-            batch_cap=payload["batch_cap"], out_dir=payload["out_dir"])
-    except Exception as exc:
-        cell = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
-    return key, cell
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_unit, units))
+    finally:
+        if unset:
+            os.environ.pop(BLAS_SPIN_VAR, None)
 
 
 def average_rank_of(values: dict) -> dict:
@@ -191,29 +254,19 @@ def run_benchmark(tasks: list, methods: list, dims: list, seeds: list,
     if any(d < 1 for d in dims):
         raise ValueError("dims must be positive")
 
-    payloads = []
+    settings = {"gamma": gamma, "pretrain_epochs": pretrain_epochs,
+                "finetune_epochs": finetune_epochs, "batch_cap": batch_cap}
+    embedding_methods = [m for m in methods if m not in X_SPACE_METHODS]
+    units = []
     for task in tasks:
-        for method in methods:
-            job_dims = [None] if method in X_SPACE_METHODS else dims
-            for dim in job_dims:
-                for seed in seeds:
-                    out_dir = None
-                    if out_root is not None:
-                        out_dir = run_dir(out_root, task.name, method, dim, seed)
-                    payloads.append({
-                        "name": task.name, "x": task.x, "y": task.y, "k": task.k,
-                        "method": method, "dim": dim, "seed": seed,
-                        "gamma": gamma, "pretrain_epochs": pretrain_epochs,
-                        "finetune_epochs": finetune_epochs,
-                        "batch_cap": batch_cap, "out_dir": out_dir,
-                    })
-
-    if jobs <= 1:
-        outcomes = [_run_job(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_job, payloads))
-    results = dict(outcomes)
+        unit = {"task": task, "settings": settings, "out_root": out_root}
+        units += [{**unit, "methods": [method], "dim": None, "seed": seed}
+                  for method in methods if method in X_SPACE_METHODS for seed in seeds]
+        if embedding_methods:
+            units += [{**unit, "methods": embedding_methods, "dim": dim, "seed": seed}
+                      for dim in dims for seed in seeds]
+    results = dict(outcome for outcomes in _map_units(units, jobs)
+                   for outcome in outcomes)
 
     dataset_names = [t.name for t in tasks]
     warnings = []

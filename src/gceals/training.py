@@ -35,6 +35,7 @@ from .neuralnet import (
     DivergenceError,
     MlpHead,
     Network,
+    RELU,
     backward,
     backward_range,
     encode,
@@ -157,6 +158,7 @@ class GcealsRun:
     head: ClusterHead
     mlp: MlpHead | None
     report: TrainReport
+    embedding: DenseMatrix  # (n, m): the final network's encoding of x
 
 
 def soft_assign(z_batch: DenseMatrix, head: ClusterHead) -> DenseMatrix:
@@ -354,6 +356,18 @@ class _GaussianObjective:
         return posterior(soft_assign(z, self.head), self.head.weights)
 
 
+def _encoder_activations(ae: Network, x: DenseMatrix) -> list:
+    """The first bottleneck + 1 activations of `forward`, without running the
+    decoder: what a loss that reads only the embedding needs."""
+    acts = [x]
+    for i in range(ae.plan.bottleneck):
+        a = acts[-1] @ ae.params[2 * i] + ae.params[2 * i + 1]
+        if ae.plan.activations[i] == RELU:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
+
+
 class _StudentTObjective:
     """DEC / IDEC: Student-t assignments under the sharpened target and a KL
     loss. ``dec`` trains the encoder and the centroids on KL alone; ``idec``
@@ -371,7 +385,7 @@ class _StudentTObjective:
     def loss_and_grads(self, x_batch: DenseMatrix, gamma: float):
         ae = self.ae
         bn = ae.plan.bottleneck
-        acts = forward(ae, x_batch)
+        acts = forward(ae, x_batch) if self.idec else _encoder_activations(ae, x_batch)
         z = acts[bn]
         centroids = self.head.means
         kl, _, d_z_kl, d_centroids = _tdist_gradients(
@@ -436,9 +450,11 @@ def _finetune(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
             report.stop_reason = STOP_WEIGHT_COLLAPSE
             break
 
-    report.posterior = objective.assign(encode(ae, x))
+    z = encode(ae, x)
+    report.posterior = objective.assign(z)
     report.hard_labels = np.argmax(report.posterior, axis=1)
-    return GcealsRun(autoencoder=ae, head=head, mlp=objective.mlp, report=report)
+    return GcealsRun(autoencoder=ae, head=head, mlp=objective.mlp, report=report,
+                     embedding=z)
 
 
 def train_gceals(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
