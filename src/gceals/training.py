@@ -35,7 +35,7 @@ from .neuralnet import (
     DivergenceError,
     MlpHead,
     Network,
-    RELU,
+    apply_layer,
     backward,
     backward_range,
     encode,
@@ -334,7 +334,8 @@ def _tdist_gradients(z: DenseMatrix, centroids: DenseMatrix, p: DenseMatrix):
 class _GaussianObjective:
     """G-CEALS: the Gaussian head and the projection head, trained jointly with
     the whole autoencoder; the weights are re-estimated on the full data after
-    every step."""
+    every step. That step's encoding of x is kept as the final embedding, as
+    nothing changes the network after the last one."""
 
     def __init__(self, ae: Network, head: ClusterHead, config: GcealsConfig, rng: Rng):
         self.ae = ae
@@ -348,9 +349,12 @@ class _GaussianObjective:
 
     def after_epoch(self, x: DenseMatrix) -> bool:
         """Closed-form weight update; True when a weight has collapsed."""
-        z = encode(self.ae, x)
-        _, self.head.weights = likelihood_and_weights(soft_assign(z, self.head))
+        self.z = encode(self.ae, x)
+        _, self.head.weights = likelihood_and_weights(soft_assign(self.z, self.head))
         return early_stop_check(self.head.weights, self.head.k, self.early_stop_factor)
+
+    def final_embedding(self, x: DenseMatrix) -> DenseMatrix:
+        return self.z
 
     def assign(self, z: DenseMatrix) -> DenseMatrix:
         return posterior(soft_assign(z, self.head), self.head.weights)
@@ -361,10 +365,7 @@ def _encoder_activations(ae: Network, x: DenseMatrix) -> list:
     decoder: what a loss that reads only the embedding needs."""
     acts = [x]
     for i in range(ae.plan.bottleneck):
-        a = acts[-1] @ ae.params[2 * i] + ae.params[2 * i + 1]
-        if ae.plan.activations[i] == RELU:
-            np.maximum(a, 0.0, out=a)
-        acts.append(a)
+        acts.append(apply_layer(ae, i, acts[-1]))
     return acts
 
 
@@ -398,6 +399,9 @@ class _StudentTObjective:
 
     def after_epoch(self, x: DenseMatrix) -> bool:
         return False
+
+    def final_embedding(self, x: DenseMatrix) -> DenseMatrix:
+        return encode(self.ae, x)
 
     def assign(self, z: DenseMatrix) -> DenseMatrix:
         return tdist_q(z, self.head.means)
@@ -450,7 +454,7 @@ def _finetune(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
             report.stop_reason = STOP_WEIGHT_COLLAPSE
             break
 
-    z = encode(ae, x)
+    z = objective.final_embedding(x)
     report.posterior = objective.assign(z)
     report.hard_labels = np.argmax(report.posterior, axis=1)
     return GcealsRun(autoencoder=ae, head=head, mlp=objective.mlp, report=report,

@@ -3,6 +3,7 @@ import pytest
 
 from gceals.linalg import Rng, ShapeError
 from gceals.neuralnet import (
+    ADAM_BLOCK,
     LINEAR,
     RELU,
     AdamState,
@@ -10,6 +11,7 @@ from gceals.neuralnet import (
     LayerPlan,
     autoencoder_plan,
     backward,
+    backward_range,
     encode,
     forward,
     init_network,
@@ -65,7 +67,7 @@ def test_encode_matches_bottleneck_activation():
     net = init_network(small_plan(), Rng(1))
     x = Rng(2).randn(5, 4)
     acts = forward(net, x)
-    assert np.allclose(encode(net, x), acts[net.plan.bottleneck])
+    assert np.array_equal(encode(net, x), acts[net.plan.bottleneck])
 
 
 def test_reconstruction_loss_mean_over_samples():
@@ -96,6 +98,53 @@ def test_backward_matches_finite_differences():
             flat_t[idx] = orig
             fd = (up - down) / (2 * h)
             assert abs(flat_g[idx] - fd) <= 1e-4 * max(abs(fd), abs(flat_g[idx]), 1e-3)
+
+
+def test_backward_range_leaves_grad_out_unchanged():
+    net = init_network(small_plan(), Rng(3))
+    x = Rng(4).randn(7, 4)
+    acts = forward(net, x)
+    # the last layer is linear, so rectify a middle range too: its first
+    # layer (index 2) masks the gradient it is handed
+    for start, end in ((0, net.plan.n_layers), (0, 3), (2, 3)):
+        grad_out = Rng(5).randn(7, net.plan.sizes[end])
+        kept = grad_out.copy()
+        backward_range(net, acts, grad_out, start, end)
+        assert np.array_equal(grad_out, kept)
+
+
+def test_adam_rejects_non_contiguous_param():
+    with pytest.raises(ValueError):
+        AdamState([np.zeros(3), np.zeros((4, 6))[:, ::2]])
+
+
+def test_adam_blocked_step_matches_reference():
+    sizes = (1, ADAM_BLOCK - 1, ADAM_BLOCK, 3 * ADAM_BLOCK + 7)
+    gen = np.random.default_rng(0)
+    params = [gen.normal(size=s) for s in sizes]
+    params[-1] = params[-1].reshape(1, -1)  # flattening a 2-D tensor too
+    ref_p = [p.copy() for p in params]
+    ref_m = [np.zeros_like(p) for p in params]
+    ref_v = [np.zeros_like(p) for p in params]
+    lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+    adam = AdamState(params, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 5):
+        grads = [gen.normal(size=p.shape) for p in params]
+        adam.step(params, grads)
+        # the textbook per-tensor update, in the same operation order
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            denom = np.sqrt(v / bc2)
+            denom += eps
+            p -= (lr / bc1) * m / denom
+        for p, r in zip(params, ref_p):
+            assert np.array_equal(p, r)
+    for got, ref in ((adam.first_moment, ref_m), (adam.second_moment, ref_v)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_adam_first_step_is_signed_learning_rate():

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gceals.linalg import Rng, ShapeError
-from gceals.neuralnet import LINEAR, RELU, LayerPlan, init_network, mlp_plan
+from gceals.neuralnet import (
+    LINEAR,
+    RELU,
+    LayerPlan,
+    autoencoder_plan,
+    encode,
+    forward,
+    init_network,
+    mlp_plan,
+)
 from gceals.training import (
     ClusterHead,
     GcealsConfig,
@@ -28,6 +37,7 @@ from gceals.training import (
     train_dec_variant,
     train_gceals,
     write_embedding_csv,
+    _encoder_activations,
     _tdist_gradients,
 )
 
@@ -265,6 +275,8 @@ def test_train_gceals_deterministic():
     assert np.array_equal(a.report.hard_labels, b.report.hard_labels)
     for wa, wb in zip(a.report.weight_trace, b.report.weight_trace):
         assert np.array_equal(wa, wb)
+    # the last weight update's encoding is the final network's
+    assert np.array_equal(a.embedding, encode(a.autoencoder, x))
 
 
 def test_train_gceals_gamma_zero_leaves_cluster_params_at_init():
@@ -290,6 +302,7 @@ def test_train_gceals_weight_collapse_stops_early():
     assert run.report.stop_epoch < 200
     assert min(run.report.weight_trace[-1]) <= 0.25
     assert len(run.report.recon_losses) == run.report.stop_epoch
+    assert np.array_equal(run.embedding, encode(run.autoencoder, x))
 
 
 def test_train_gceals_validates_k():
@@ -403,6 +416,15 @@ def test_tdist_gradients_match_finite_differences():
             flat_t[idx] = orig
             fd = (up - down) / (2 * h)
             assert abs(flat_g[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_encoder_activations_match_forward_exactly():
+    ae = init_network(autoencoder_plan(5, 3), Rng(19))
+    x = Rng(20).randn(9, 5)
+    acts = forward(ae, x)[: ae.plan.bottleneck + 1]
+    enc = _encoder_activations(ae, x)
+    assert len(enc) == len(acts)
+    assert all(np.array_equal(a, b) for a, b in zip(enc, acts))
 
 
 def test_train_dec_variant_idec_recovers_blobs():
