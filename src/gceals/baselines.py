@@ -7,15 +7,20 @@ monotonicity checks in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .linalg import DenseMatrix, Rng
+from .linalg import DenseMatrix, Rng, as_matrix
 
 GMM_RIDGE = 1e-6
+# Lloyd stops when no centroid moves farther than LLOYD_TOL, EM when the
+# per-sample log-likelihood gains less than GMM_TOL; each at its iteration cap
+LLOYD_MAX_ITER = 300
+LLOYD_TOL = 1e-4
+GMM_MAX_ITER = 200
+GMM_TOL = 1e-7
 
 
 class NumericError(RuntimeError):
@@ -29,15 +34,6 @@ class KMeansResult:
     inertia: float
     inertia_trace: list = field(default_factory=list, repr=False)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "centroids": self.centroids.tolist(),
-                "labels": [int(v) for v in self.labels],
-                "inertia": self.inertia,
-            }
-        )
-
 
 @dataclass
 class GmmResult:
@@ -50,16 +46,6 @@ class GmmResult:
     @property
     def labels(self) -> np.ndarray:
         return np.argmax(self.responsibilities, axis=1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "means": self.means.tolist(),
-                "covariances": self.covariances.tolist(),
-                "mixing_weights": self.mixing_weights.tolist(),
-                "labels": [int(v) for v in self.labels],
-            }
-        )
 
 
 def _sq_distances(x: DenseMatrix, centers: DenseMatrix) -> DenseMatrix:
@@ -110,42 +96,43 @@ def _repair_empty(x, centers, labels, d2_assigned):
     return centers, labels, d2_assigned
 
 
-def lloyd(x: DenseMatrix, centers: DenseMatrix, max_iter: int, tol: float) -> KMeansResult:
-    """Lloyd iterations from given centroids until centroid movement <= tol."""
+def lloyd(x: DenseMatrix, centers: DenseMatrix) -> KMeansResult:
+    """Lloyd iterations from given centroids until no centroid moves farther
+    than LLOYD_TOL, or LLOYD_MAX_ITER updates.
+
+    The inertia trace has one entry per assignment: one per update, plus the
+    final assignment to the returned centroids.
+    """
     centers = centers.copy()
     k = centers.shape[0]
     trace = []
-    labels = None
-    for _ in range(max_iter):
+    converged = False
+    while True:
         d2 = _sq_distances(x, centers)
         labels = np.argmin(d2, axis=1)
         d2_assigned = d2[np.arange(x.shape[0]), labels]
         centers, labels, d2_assigned = _repair_empty(x, centers, labels, d2_assigned)
         trace.append(float(d2_assigned.sum()))
+        if converged or len(trace) > LLOYD_MAX_ITER:
+            break
         new_centers = np.empty_like(centers)
         for j in range(k):
             new_centers[j] = x[labels == j].mean(axis=0)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if shift <= tol:
-            break
-    d2 = _sq_distances(x, centers)
-    labels = np.argmin(d2, axis=1)
-    d2_assigned = d2[np.arange(x.shape[0]), labels]
-    centers, labels, d2_assigned = _repair_empty(x, centers, labels, d2_assigned)
-    trace.append(float(d2_assigned.sum()))
+        converged = shift <= LLOYD_TOL
     return KMeansResult(
         centroids=centers, labels=labels, inertia=trace[-1], inertia_trace=trace
     )
 
 
-def kmeans(x: DenseMatrix, k: int, rng: Rng, restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-4) -> KMeansResult:
+def kmeans(x: DenseMatrix, k: int, rng: Rng, restarts: int = 10) -> KMeansResult:
     """Best-of-restarts K-means with k-means++ seeding.
 
     Ties on inertia break toward the lowest restart index, so results are
     deterministic per seed even when restarts may run in parallel.
     """
+    x = as_matrix(x, "x")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > x.shape[0]:
@@ -153,7 +140,7 @@ def kmeans(x: DenseMatrix, k: int, rng: Rng, restarts: int = 10,
     best = None
     for child in rng.split(restarts):
         seeds = kmeans_plusplus(x, k, child)
-        result = lloyd(x, seeds, max_iter=max_iter, tol=tol)
+        result = lloyd(x, seeds)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
@@ -187,42 +174,34 @@ def _m_step(x, resp):
     return weights, means, covs
 
 
-def gmm_fit(x: DenseMatrix, k: int, rng: Rng, max_iter: int = 200,
-            tol: float = 1e-7) -> GmmResult:
+def gmm_fit(x: DenseMatrix, k: int, rng: Rng) -> GmmResult:
     """EM for a full-covariance mixture, initialized from K-means labels.
 
     Each M step adds a 1e-6 ridge to the covariance diagonals. Stops when the
-    per-sample log-likelihood gain drops below tol or max_iter is reached.
+    per-sample log-likelihood gain drops below GMM_TOL or after GMM_MAX_ITER
+    M steps; a last E step matches the responsibilities to the returned
+    parameters.
     """
-    if k > x.shape[0]:
-        raise ValueError(f"k={k} exceeds sample count {x.shape[0]}")
-    n = x.shape[0]
     km = kmeans(x, k, rng)
+    n = x.shape[0]
     resp = np.zeros((n, k))
     resp[np.arange(n), km.labels] = 1.0
     weights, means, covs = _m_step(x, resp)
     trace = []
-    prev = -np.inf
-    for _ in range(max_iter):
+    converged = False
+    while True:
         log_prob = np.empty((n, k))
         for j in range(k):
             log_prob[:, j] = _gaussian_log_density(x, means[j], covs[j]) + np.log(weights[j])
         row_max = log_prob.max(axis=1, keepdims=True)
         log_norm = row_max[:, 0] + np.log(np.sum(np.exp(log_prob - row_max), axis=1))
-        ll = float(log_norm.mean())
-        trace.append(ll)
         resp = np.exp(log_prob - log_norm[:, None])
-        weights, means, covs = _m_step(x, resp)
-        if ll - prev < tol:
+        if converged or len(trace) == GMM_MAX_ITER:
             break
-        prev = ll
-    # final E step so responsibilities match the returned parameters
-    log_prob = np.empty((n, k))
-    for j in range(k):
-        log_prob[:, j] = _gaussian_log_density(x, means[j], covs[j]) + np.log(weights[j])
-    row_max = log_prob.max(axis=1, keepdims=True)
-    log_norm = row_max[:, 0] + np.log(np.sum(np.exp(log_prob - row_max), axis=1))
-    resp = np.exp(log_prob - log_norm[:, None])
+        ll = float(log_norm.mean())
+        converged = bool(trace) and ll - trace[-1] < GMM_TOL
+        trace.append(ll)
+        weights, means, covs = _m_step(x, resp)
     return GmmResult(
         means=means,
         covariances=covs,

@@ -246,11 +246,13 @@ def run_benchmark(tasks: list, methods: list, dims: list, seeds: list,
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    dims = [int(d) for d in dims]
+    for what, values in (("dataset names", [t.name for t in tasks]),
+                         ("methods", methods), ("dims", dims), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{what} must be unique")
     if len(methods) < 2:
         raise ValueError("ranking needs at least 2 methods")
-    if len(set(t.name for t in tasks)) != len(tasks):
-        raise ValueError("dataset names must be unique")
-    dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
         raise ValueError("dims must be positive")
 

@@ -53,7 +53,6 @@ def _add_run_flags(sub):
     sub.add_argument("--finetune-epochs", type=int, help="default 1000")
     sub.add_argument("--batch-cap", type=int, help="default 256")
     sub.add_argument("--seed", help="seed or comma-separated seeds, default 0")
-    sub.add_argument("--jobs", type=int, help="parallel workers, default 1")
     sub.add_argument("--out", help="output directory, default runs")
     sub.add_argument("--config", help="JSON file with flag defaults")
 
@@ -81,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = subs.add_parser("benchmark", help="multi-method benchmark with ranks")
     _add_common(p_bench)
     _add_run_flags(p_bench)
+    p_bench.add_argument("--jobs", type=int, help="parallel workers, default 1")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser
 
@@ -118,12 +118,15 @@ def _method_list(value) -> list:
     return [part for part in str(value).split(",") if part != ""]
 
 
-def _load_tasks(args, config) -> list:
-    paths = _pick(args, config, "dataset", None)
+def _dataset_paths(paths) -> list:
+    """The --dataset values as a list; at least one is required."""
     if not paths:
         raise IngestionError("--dataset is required")
-    if isinstance(paths, str):
-        paths = [paths]
+    return [paths] if isinstance(paths, str) else paths
+
+
+def _load_tasks(args, config) -> list:
+    paths = _dataset_paths(_pick(args, config, "dataset", None))
     label = _pick(args, config, "label_column", None)
     if label is None:
         raise IngestionError("--label-column is required (k comes from the labels)")
@@ -136,15 +139,8 @@ def _load_tasks(args, config) -> list:
 
 
 def cmd_stats(args) -> int:
-    config = _load_config(args)
-    paths = _pick(args, config, "dataset", None)
-    if not paths:
-        raise IngestionError("--dataset is required")
-    if isinstance(paths, str):
-        paths = [paths]
-    label = _pick(args, config, "label_column", None)
-    for path in paths:
-        ds = load_csv(path, label_column=label, name=Path(path).stem)
+    for path in _dataset_paths(args.dataset):
+        ds = load_csv(path, label_column=args.label_column, name=Path(path).stem)
         stats = dataset_stats(ds)
         if args.json:
             print(stats.to_json())
@@ -156,9 +152,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    paths = args.dataset
-    if not paths:
-        raise IngestionError("--dataset is required")
+    paths = _dataset_paths(args.dataset)
     if len(paths) != 1:
         raise IngestionError("preprocess takes exactly one --dataset")
     ds = load_csv(paths[0], label_column=args.label_column,
@@ -266,8 +260,11 @@ def cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is reserved for divergence
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except DivergenceError as exc:

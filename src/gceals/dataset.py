@@ -1,7 +1,7 @@
 """CSV ingestion, schema inference, preprocessing, and dataset statistics.
 
 A dataset is read from an RFC-4180 style CSV with a header row. Columns are
-typed numeric or categorical (auto-inferred unless overridden), an optional
+typed numeric or categorical by inference from their cells, an optional
 label column is split off for evaluation only, and `preprocess` turns the
 table into a float64 matrix: z-scored numerics followed by full one-hot
 blocks for categoricals.
@@ -80,19 +80,15 @@ def _parse_float(cell: str):
     return v
 
 
-def load_csv(path, label_column: str | None = None, schema_override: dict | None = None,
-             name: str | None = None) -> Dataset:
+def load_csv(path, label_column: str | None = None, name: str | None = None) -> Dataset:
     """Load a headered CSV into a typed Dataset.
 
-    Auto-inference: a column whose cells all parse as finite floats is numeric,
-    anything else is categorical. `schema_override` maps column name -> kind and
-    wins over inference; an unparsable cell under a numeric override is an
-    ingestion error with coordinates. Empty cells are rejected (no imputation).
-    The label column, when given, is removed from the features and encoded to
-    ids 0..C-1 in order of first appearance.
+    A column whose cells all parse as finite floats is numeric, anything else
+    is categorical. Empty cells are rejected (no imputation). The label
+    column, when given, is removed from the features and encoded to ids
+    0..C-1 in order of first appearance.
     """
     path = str(path)
-    schema_override = schema_override or {}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
@@ -116,9 +112,6 @@ def load_csv(path, label_column: str | None = None, schema_override: dict | None
 
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    for col in schema_override:
-        if col not in header:
-            raise IngestionError(f"{path}: schema override names unknown column {col!r}")
     if label_column is not None and label_column not in header:
         raise IngestionError(f"{path}: label column {label_column!r} not in header")
 
@@ -143,22 +136,14 @@ def load_csv(path, label_column: str | None = None, schema_override: dict | None
                 )
             labels = encoded
             continue
-        kind = schema_override.get(col_name)
-        if kind is None:
-            kind = NUMERIC if all(_parse_float(c) is not None for c in cells) else CATEGORICAL
-        elif kind not in (NUMERIC, CATEGORICAL):
-            raise IngestionError(f"{path}: unknown kind {kind!r} for column {col_name!r}")
-        if kind == NUMERIC:
-            parsed = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                v = _parse_float(cell)
-                if v is None:
-                    raise IngestionError(
-                        f"{path}: cell at line {i + 2}, column {col_name!r} "
-                        f"is not a finite number: {cell!r}"
-                    )
-                parsed[i] = v
-            columns.append(Column(col_name, NUMERIC, parsed))
+        parsed = []
+        for cell in cells:
+            v = _parse_float(cell)
+            if v is None:
+                break
+            parsed.append(v)
+        if len(parsed) == n:
+            columns.append(Column(col_name, NUMERIC, np.array(parsed, dtype=np.float64)))
         else:
             columns.append(Column(col_name, CATEGORICAL, list(cells)))
 
@@ -196,9 +181,9 @@ def preprocess(ds: Dataset) -> DenseMatrix:
             x = np.asarray(col.values, dtype=np.float64)
             std = x.std()
             if std == 0.0:
-                blocks.append((0, np.zeros((ds.n, 1))))
+                blocks.append(np.zeros((ds.n, 1)))
             else:
-                blocks.append((0, ((x - x.mean()) / std)[:, None]))
+                blocks.append(((x - x.mean()) / std)[:, None])
     for col in ds.columns:
         if col.kind == CATEGORICAL:
             levels = categorical_levels(col)
@@ -206,10 +191,10 @@ def preprocess(ds: Dataset) -> DenseMatrix:
             onehot = np.zeros((ds.n, len(levels)))
             for i, cell in enumerate(col.values):
                 onehot[i, index[cell]] = 1.0
-            blocks.append((1, onehot))
+            blocks.append(onehot)
     if not blocks:
         raise ValueError("dataset has no feature columns")
-    return np.ascontiguousarray(np.hstack([b for _, b in blocks]))
+    return np.ascontiguousarray(np.hstack(blocks))
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

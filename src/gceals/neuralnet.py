@@ -80,14 +80,6 @@ class Network:
             raise ValueError("network has no bottleneck")
         return self.params[: 2 * self.plan.bottleneck]
 
-    @property
-    def decoder_params(self) -> list:
-        if self.plan.bottleneck is None:
-            raise ValueError("network has no bottleneck")
-        return self.params[2 * self.plan.bottleneck :]
-
-
-MlpHead = Network
 
 
 def init_network(plan: LayerPlan, rng: Rng) -> Network:
@@ -183,6 +175,13 @@ def reconstruction_grad(x: DenseMatrix, x_hat: DenseMatrix) -> DenseMatrix:
 # rather than once per elementwise operation.
 ADAM_BLOCK = 1 << 15
 
+# Adam at its published defaults (Kingma & Ba, arXiv 1412.6980), which every
+# training stage uses
+LEARNING_RATE = 0.001
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """Adam with bias correction over a flat tensor list; updates in place.
@@ -192,15 +191,10 @@ class AdamState:
     layout would update a copy.
     """
 
-    def __init__(self, params: list, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list):
         for i, p in enumerate(params):
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {i} is not C-contiguous")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
@@ -209,10 +203,10 @@ class AdamState:
 
     def step(self, params: list, grads: list) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        step_size = self.learning_rate / bc1
+        step_size = LEARNING_RATE / bc1
         for tensors in zip(params, grads, self.first_moment, self.second_moment):
             p, g, m, v = (t.reshape(-1) for t in tensors)
             for lo in range(0, p.size, ADAM_BLOCK):
@@ -231,14 +225,13 @@ class AdamState:
                 # p -= (lr / bc1) m / (sqrt(v / bc2) + eps)
                 np.divide(vb, bc2, out=denom)
                 np.sqrt(denom, out=denom)
-                denom += self.eps
+                denom += EPS
                 np.multiply(step_size, mb, out=s)
                 s /= denom
                 pb -= s
 
 
-def pretrain_autoencoder(x: DenseMatrix, m: int, epochs: int, batch: int,
-                         rng: Rng, learning_rate: float = 0.001):
+def pretrain_autoencoder(x: DenseMatrix, m: int, epochs: int, batch: int, rng: Rng):
     """Train a fresh autoencoder on x by mini-batch reconstruction.
 
     Shuffles every epoch and keeps the last partial batch. Returns the trained
@@ -246,9 +239,11 @@ def pretrain_autoencoder(x: DenseMatrix, m: int, epochs: int, batch: int,
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     n, d = x.shape
     net = init_network(autoencoder_plan(d, m), rng)
-    adam = AdamState(net.params, learning_rate=learning_rate)
+    adam = AdamState(net.params)
     losses = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)

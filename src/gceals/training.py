@@ -33,7 +33,6 @@ from .linalg import DenseMatrix, Rng, as_matrix, row_log_softmax, row_softmax
 from .neuralnet import (
     AdamState,
     DivergenceError,
-    MlpHead,
     Network,
     apply_layer,
     backward,
@@ -55,6 +54,9 @@ MODE_IDEC = "idec"
 
 STOP_COMPLETED = "completed"
 STOP_WEIGHT_COLLAPSE = "weight-collapse"
+
+# training stops once a cluster weight falls to this share of 1/K
+EARLY_STOP_FACTOR = 0.5
 
 
 @dataclass
@@ -81,15 +83,13 @@ class GcealsConfig:
     pretrain_epochs: int = 1000
     finetune_epochs: int = 1000
     batch_cap: int = 256
-    early_stop_factor: float = 0.5
     mode: str = MODE_GCEALS
-    learning_rate: float = 0.001
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if not 0.0 < self.early_stop_factor < 1.0:
-            raise ValueError("early_stop_factor must be in (0, 1)")
+        if self.batch_cap < 1:
+            raise ValueError("batch_cap must be >= 1")
         if self.mode not in (MODE_GCEALS, MODE_DEC, MODE_IDEC):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.embedding_dim < 1:
@@ -156,7 +156,7 @@ class TrainReport:
 class GcealsRun:
     autoencoder: Network
     head: ClusterHead
-    mlp: MlpHead | None
+    mlp: Network | None
     report: TrainReport
     embedding: DenseMatrix  # (n, m): the final network's encoding of x
 
@@ -211,12 +211,12 @@ def balanced_batch(pseudo_labels: np.ndarray, batch_cap: int, rng: Rng) -> np.nd
     return np.concatenate(picks)
 
 
-def early_stop_check(weights: np.ndarray, k: int, factor: float) -> bool:
-    """True when any cluster weight has fallen to factor/k or below."""
-    return bool(np.min(weights) <= factor / k)
+def early_stop_check(weights: np.ndarray, k: int) -> bool:
+    """True when any cluster weight has fallen to EARLY_STOP_FACTOR/k or below."""
+    return bool(np.min(weights) <= EARLY_STOP_FACTOR / k)
 
 
-def _gaussian_head_gradients(z: DenseMatrix, head: ClusterHead, mlp: MlpHead):
+def _gaussian_head_gradients(z: DenseMatrix, head: ClusterHead, mlp: Network):
     """Batch cluster loss and exact gradients through both p and q.
 
     Returns (cluster_loss, dZ, dMeans, dLogVars, mlp_grads, dZ_mlp). The
@@ -262,7 +262,7 @@ def _autoencoder_gradients(ae: Network, acts: list, x_batch: DenseMatrix,
     return reconstruction_loss(x_batch, x_hat), enc_grads + dec_grads
 
 
-def joint_loss_eval(ae: Network, mlp: MlpHead, head: ClusterHead,
+def joint_loss_eval(ae: Network, mlp: Network, head: ClusterHead,
                     x_batch: DenseMatrix, gamma: float) -> float:
     """Forward-only joint loss; the finite-difference side of the gradient check."""
     acts = forward(ae, x_batch)
@@ -272,7 +272,7 @@ def joint_loss_eval(ae: Network, mlp: MlpHead, head: ClusterHead,
     return joint_loss(reconstruction_loss(x_batch, acts[-1]), cluster, gamma)
 
 
-def joint_step_gradients(ae: Network, mlp: MlpHead, head: ClusterHead,
+def joint_step_gradients(ae: Network, mlp: Network, head: ClusterHead,
                          x_batch: DenseMatrix, gamma: float):
     """One batch's losses and gradients for every trainable tensor.
 
@@ -319,16 +319,18 @@ def kl_divergence(p: DenseMatrix, q: DenseMatrix) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q_floored[mask])))
 
 
-def _tdist_gradients(z: DenseMatrix, centroids: DenseMatrix, p: DenseMatrix):
-    """KL loss and gradients w.r.t. z and centroids; p is a constant target."""
+def _tdist_gradients(z: DenseMatrix, centroids: DenseMatrix):
+    """KL loss of q against its sharpened target p, and its gradients w.r.t.
+    z and centroids, with p held constant."""
     diff = z[:, None, :] - centroids[None, :, :]
     w = 1.0 / (1.0 + np.sum(diff * diff, axis=2))
     q = w / w.sum(axis=1, keepdims=True)
+    p = dec_target(q)
     loss = kl_divergence(p, q)
     coeff = 2.0 * w * (p - q)  # (n, k)
     d_z = np.sum(coeff[:, :, None] * diff, axis=1)
     d_centroids = -np.sum(coeff[:, :, None] * diff, axis=0)
-    return loss, q, d_z, d_centroids
+    return loss, d_z, d_centroids
 
 
 class _GaussianObjective:
@@ -340,7 +342,6 @@ class _GaussianObjective:
     def __init__(self, ae: Network, head: ClusterHead, config: GcealsConfig, rng: Rng):
         self.ae = ae
         self.head = head
-        self.early_stop_factor = config.early_stop_factor
         self.mlp = init_network(mlp_plan(config.embedding_dim, head.k), rng)
         self.params = ae.params + [head.means, head.log_variances] + self.mlp.params
 
@@ -351,7 +352,7 @@ class _GaussianObjective:
         """Closed-form weight update; True when a weight has collapsed."""
         self.z = encode(self.ae, x)
         _, self.head.weights = likelihood_and_weights(soft_assign(self.z, self.head))
-        return early_stop_check(self.head.weights, self.head.k, self.early_stop_factor)
+        return early_stop_check(self.head.weights, self.head.k)
 
     def final_embedding(self, x: DenseMatrix) -> DenseMatrix:
         return self.z
@@ -387,10 +388,7 @@ class _StudentTObjective:
         ae = self.ae
         bn = ae.plan.bottleneck
         acts = forward(ae, x_batch) if self.idec else _encoder_activations(ae, x_batch)
-        z = acts[bn]
-        centroids = self.head.means
-        kl, _, d_z_kl, d_centroids = _tdist_gradients(
-            z, centroids, dec_target(tdist_q(z, centroids)))
+        kl, d_z_kl, d_centroids = _tdist_gradients(acts[bn], self.head.means)
         if self.idec:
             recon, ae_grads = _autoencoder_gradients(ae, acts, x_batch, d_z_kl, gamma)
             return recon, kl, ae_grads + [gamma * d_centroids]
@@ -418,8 +416,7 @@ def _finetune(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
     report = TrainReport()
     if pretrained is None:
         ae, report.pretrain_losses = pretrain_autoencoder(
-            x, m, config.pretrain_epochs, config.batch_cap, pre_rng,
-            learning_rate=config.learning_rate)
+            x, m, config.pretrain_epochs, config.batch_cap, pre_rng)
     else:
         ae = pretrained
         if ae.plan.sizes[ae.plan.bottleneck] != m:
@@ -432,7 +429,7 @@ def _finetune(x: DenseMatrix, k: int, config: GcealsConfig, rng: Rng,
     else:
         objective = _StudentTObjective(ae, head, idec=config.mode == MODE_IDEC)
 
-    adam = AdamState(objective.params, learning_rate=config.learning_rate)
+    adam = AdamState(objective.params)
     for epoch in range(1, config.finetune_epochs + 1):
         xb = x[balanced_batch(pseudo, config.batch_cap, batch_rng)]
         recon, cluster, grads = objective.loss_and_grads(xb, config.gamma)

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -78,12 +77,12 @@ def test_kmeans_rejects_k_over_n():
         kmeans(Rng(0).randn(3, 2), 4, Rng(1))
 
 
-def test_kmeans_json_round_trip():
-    x = Rng(15).randn(12, 2)
-    result = kmeans(x, 2, Rng(16))
-    doc = json.loads(result.to_json())
-    assert np.allclose(doc["centroids"], result.centroids)
-    assert doc["labels"] == result.labels.tolist()
+@pytest.mark.parametrize("fit", [kmeans, gmm_fit])
+def test_fits_reject_non_finite_input(fit):
+    x = Rng(15).randn(40, 2)
+    x[7, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(x, 2, Rng(16))
 
 
 def test_gmm_k1_closed_form():

@@ -99,7 +99,7 @@ def stub_pretraining(monkeypatch, fail_dim=None):
     log of its calls as (net, dim, rng seed). Raises for `fail_dim`."""
     calls = []
 
-    def pretrain(x, m, epochs, batch, rng, learning_rate=0.001):
+    def pretrain(x, m, epochs, batch, rng):
         if m == fail_dim:
             raise RuntimeError("engineered pretraining failure")
         net = object()
@@ -245,6 +245,11 @@ def test_run_benchmark_validation():
         run_benchmark([tiny_task()], ["kmeans_x", "nope"], dims=[2], seeds=[0])
     with pytest.raises(ValueError):
         run_benchmark([tiny_task()], ["kmeans_x", "gmm_x"], dims=[0], seeds=[0])
+    for methods, dims, seeds in ((["kmeans_x", "kmeans_x"], [2], [0]),
+                                 (["kmeans_x", "gmm_x"], [2, 2], [0]),
+                                 (["kmeans_x", "gmm_x"], [2], [0, 0])):
+        with pytest.raises(ValueError, match="unique"):
+            run_benchmark([tiny_task()], methods, dims=dims, seeds=seeds)
 
 
 def small_real_grid(jobs):

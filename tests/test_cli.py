@@ -49,6 +49,16 @@ def test_missing_required_flag_exits_1(blob_csv, capsys):
     assert "label-column" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_1_and_help_exits_0(blob_csv, capsys):
+    run = ["train", "--dataset", blob_csv, "--label-column", "cls"]
+    assert main(run + ["--gamma", "abc"]) == 1
+    assert "--gamma" in capsys.readouterr().err
+    # --jobs belongs to benchmark only
+    assert main(run + ["--jobs", "2"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert main(["train", "--help"]) == 0
+
+
 def test_preprocess_writes_matrix_and_labels(blob_csv, tmp_path, capsys):
     out = tmp_path / "matrix.csv"
     assert main(["preprocess", "--dataset", blob_csv, "--label-column", "cls",

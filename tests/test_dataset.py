@@ -55,23 +55,6 @@ def test_ragged_row_rejected(tmp_path):
     assert "line 3" in str(err.value)
 
 
-def test_schema_override_numeric_failure_names_cell(tmp_path):
-    path = write_csv(tmp_path / "t.csv", ["f"], [["1.5"], ["oops"]])
-    with pytest.raises(IngestionError) as err:
-        load_csv(path, schema_override={"f": NUMERIC})
-    assert "line 3" in str(err.value)
-
-
-def test_schema_override_forces_categorical(tmp_path):
-    path = write_csv(tmp_path / "t.csv", ["f"], [["1"], ["2"], ["1"]])
-    ds = load_csv(path, schema_override={"f": CATEGORICAL})
-    assert ds.columns[0].kind == CATEGORICAL
-    x = preprocess(ds)
-    # two levels, one-hot
-    assert x.shape == (3, 2)
-    assert np.array_equal(x, [[1, 0], [0, 1], [1, 0]])
-
-
 def test_missing_label_column_errors(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["f"], [["1"], ["2"]])
     with pytest.raises(IngestionError):

@@ -4,6 +4,10 @@ import pytest
 from gceals.linalg import Rng, ShapeError
 from gceals.neuralnet import (
     ADAM_BLOCK,
+    BETA1,
+    BETA2,
+    EPS,
+    LEARNING_RATE,
     LINEAR,
     RELU,
     AdamState,
@@ -126,8 +130,8 @@ def test_adam_blocked_step_matches_reference():
     ref_p = [p.copy() for p in params]
     ref_m = [np.zeros_like(p) for p in params]
     ref_v = [np.zeros_like(p) for p in params]
-    lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-    adam = AdamState(params, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = LEARNING_RATE, BETA1, BETA2, EPS
+    adam = AdamState(params)
     for t in range(1, 5):
         grads = [gen.normal(size=p.shape) for p in params]
         adam.step(params, grads)
@@ -149,10 +153,10 @@ def test_adam_blocked_step_matches_reference():
 
 def test_adam_first_step_is_signed_learning_rate():
     p = np.array([0.0])
-    adam = AdamState([p], learning_rate=0.001)
+    adam = AdamState([p])
     adam.step([p], [np.array([1.0])])
     # t=1 with g=1: update = lr * g / (|g| + eps)
-    assert np.isclose(p[0], -0.001, rtol=1e-6)
+    assert np.isclose(p[0], -LEARNING_RATE, rtol=1e-6)
 
 
 def test_adam_state_tracks_two_tensors():
@@ -180,6 +184,12 @@ def test_pretrain_raises_on_divergence():
     with pytest.raises(DivergenceError) as err:
         pretrain_autoencoder(x, 2, 3, 8, Rng(0))
     assert err.value.epoch == 1
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_pretrain_rejects_non_positive_batch(batch):
+    with pytest.raises(ValueError, match="batch"):
+        pretrain_autoencoder(Rng(0).randn(8, 3), 2, 3, batch, Rng(0))
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -204,11 +204,11 @@ def test_balanced_batch_errors():
 
 
 def test_early_stop_check_examples():
-    assert early_stop_check(np.array([0.8, 0.2]), 2, 0.5)
-    assert not early_stop_check(np.array([0.6, 0.4]), 2, 0.5)
-    assert early_stop_check(np.array([0.4, 0.3, 0.2, 0.1]), 4, 0.5)
+    assert early_stop_check(np.array([0.8, 0.2]), 2)
+    assert not early_stop_check(np.array([0.6, 0.4]), 2)
+    assert early_stop_check(np.array([0.4, 0.3, 0.2, 0.1]), 4)
     # boundary is inclusive
-    assert early_stop_check(np.array([0.75, 0.25]), 2, 0.5)
+    assert early_stop_check(np.array([0.75, 0.25]), 2)
 
 
 def test_joint_gradients_match_finite_differences():
@@ -346,8 +346,9 @@ def test_training_checks_pretrained_width():
 def test_config_validation():
     with pytest.raises(ValueError):
         GcealsConfig(embedding_dim=3, gamma=-1.0)
-    with pytest.raises(ValueError):
-        GcealsConfig(embedding_dim=3, early_stop_factor=1.5)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="batch_cap"):
+            GcealsConfig(embedding_dim=3, batch_cap=cap)
     with pytest.raises(ValueError):
         GcealsConfig(embedding_dim=3, mode="other")
     with pytest.raises(ValueError):
@@ -399,7 +400,7 @@ def test_tdist_gradients_match_finite_differences():
     centroids = rng.randn(2, 3)
     q0 = tdist_q(z, centroids)
     p = dec_target(q0)
-    _, _, d_z, d_centroids = _tdist_gradients(z, centroids, p)
+    _, d_z, d_centroids = _tdist_gradients(z, centroids)
     h = 1e-6
 
     def loss():
